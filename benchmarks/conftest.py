@@ -4,7 +4,9 @@ Every ``test_expN_*`` benchmark regenerates one paper artefact at
 ``smoke`` scale (seconds, shape-preserving), times it once via
 pytest-benchmark's pedantic mode, **asserts the paper's qualitative
 shape** on the data, and writes the full paper-style report (tables +
-ASCII figures) to ``benchmarks/reports/<name>.txt``.
+ASCII figures) to ``<name>.txt`` under a per-session pytest temporary
+directory, echoing the path.  The committed ``benchmarks/reports/``
+files are reference copies; a test run never rewrites them.
 
 Full paper scale is available outside pytest::
 
@@ -17,14 +19,13 @@ from pathlib import Path
 
 import pytest
 
-REPORT_DIR = Path(__file__).parent / "reports"
-
 
 @pytest.fixture(scope="session")
-def report_dir() -> Path:
-    """Directory collecting the per-benchmark report files."""
-    REPORT_DIR.mkdir(exist_ok=True)
-    return REPORT_DIR
+def report_dir(tmp_path_factory) -> Path:
+    """Per-session directory collecting the per-benchmark report files."""
+    path = tmp_path_factory.mktemp("reports")
+    print(f"\n[benchmark reports are written to {path}]")
+    return path
 
 
 def save_report(report_dir: Path, name: str, text: str) -> None:

@@ -43,8 +43,13 @@ Equivalence contract (pinned by ``tests/core/test_fastpath.py`` and
 ----------------------------------------------------------------
 
 *Bit-identical*: per-node swarm dynamics.  Node state is initialized by
-the same :func:`~repro.pso.swarm.initial_swarm_state` from the same
-per-node stream ``("node", nid, "pso")``, and whenever a node's
+the one initializer, :func:`~repro.pso.swarm.initial_swarm_states`
+(whose one-swarm case, :func:`~repro.pso.swarm.initial_swarm_state`,
+builds the reference :class:`~repro.pso.swarm.Swarm` and churn
+joiners), from the same per-node stream ``("node", nid, "pso")`` —
+derived for all initial nodes at once by
+:meth:`~repro.utils.rng.SeedSequenceTree.rngs`, bit-identical to
+``tree.rng("node", nid, "pso")`` — and whenever a node's
 per-cycle allowance is a whole synchronous sweep (``r = k``, the
 paper's default timing) the batched update consumes that stream exactly
 like :meth:`~repro.pso.swarm.Swarm.step_cycle` and produces the same
@@ -100,8 +105,10 @@ from repro.core.metrics import (
 from repro.core.runner import RunResult
 from repro.functions.base import Function, get_function
 from repro.functions.problem import DynamicsSpec, EvalContext, build_problem
-from repro.pso.state import SwarmStateSoA, stack_states
-from repro.pso.swarm import initial_swarm_state
+# ``stack_states`` is not called here, but stays importable from this
+# module: perfbench's traced pass times construction through these names.
+from repro.pso.state import SwarmStateSoA, stack_states  # noqa: F401
+from repro.pso.swarm import initial_swarm_state, initial_swarm_states
 from repro.pso.velocity import resolve_vmax
 from repro.simulator.adversary import Adversary, AdversarySpec
 from repro.simulator.observers import StopCondition
@@ -270,15 +277,15 @@ class FastEngine:
                 )
         n = node_ids.shape[0]
         id_span = int(node_ids.max(initial=-1)) + 1
-        self._gens: list[np.random.Generator] = []
-        states = []
-        for nid in node_ids:
-            rng = tree.rng("node", int(nid), "pso")
-            states.append(
-                initial_swarm_state(self._function_of(int(nid)), config.pso, rng)
-            )
-            self._gens.append(rng)
-        self.soa: SwarmStateSoA = stack_states(states)
+        # Every node's private ("node", nid, "pso") stream, derived in
+        # one batch, and the whole initial SoA state in one fill per
+        # stream.  ``_fills`` keeps each slot's bound ``Generator.random``
+        # for the strict draw loop (kept in step with slots by _join).
+        rngs = tree.rngs(("node",), node_ids.tolist(), ("pso",))
+        self.soa: SwarmStateSoA = initial_swarm_states(
+            self._functions, config.pso, rngs, self._node_group
+        )
+        self._fills = [rng.random for rng in rngs]
 
         # Liveness mirror of Network: a swap-remove live list keeps
         # churn victim selection order-compatible with the reference.
@@ -334,6 +341,7 @@ class FastEngine:
         self.crashes = 0
         self.joins = 0
         self._draws: np.ndarray | None = None
+        self._draw_rows: list[np.ndarray] | None = None
 
     # -- objectives (homogeneous or grouped heterogeneous) -----------------------
 
@@ -415,6 +423,8 @@ class FastEngine:
             # Zero-filled, not empty: rows of non-moving nodes feed the
             # fused update before being masked out, and must stay finite.
             self._draws = np.zeros(shape)
+            # The strict regime fills per-node rows: cache their views.
+            self._draw_rows = list(self._draws) if self.rng_mode == "strict" else None
         return self._draws
 
     # -- EngineBase-compatible control surface ---------------------------------------
@@ -484,23 +494,21 @@ class FastEngine:
         nid = self._next_id
         self._next_id += 1
         rng = self._tree.rng("node", nid, "pso")
-        function = self.function
         group = None
         if self._group_of_id is not None:
             group = self._group_of_id[nid % self._initial_size]
             self._group_of_id.append(group)
-            function = self._functions[group]
-        state = initial_swarm_state(function, self.config.pso, rng)
+        state = initial_swarm_state(self._function_of(nid), self.config.pso, rng)
 
         if self._free_slots:
             slot = self._free_slots.pop()
             self._retired_evaluations += int(self.soa.evaluations[slot])
             self.soa.replace_slot(slot, state)
-            self._gens[slot] = rng
+            self._fills[slot] = rng.random
             self._id_of_slot[slot] = nid
         else:
             slot = self.soa.append_state(state)
-            self._gens.append(rng)
+            self._fills.append(rng.random)
             self._id_of_slot = _grow_1d(self._id_of_slot, slot + 1, -1)
             self._id_of_slot[slot] = nid
         if self._node_group is not None:
@@ -706,9 +714,9 @@ class FastEngine:
         nl, d = live.shape[0], self.soa.d
         if self.rng_mode == "strict":
             draws = self._draw_buffer((nl, 2, width, d))
-            gens = self._gens
-            for j in moving_nodes:
-                gens[live[j]].random(out=draws[j])
+            rows, fills = self._draw_rows, self._fills
+            for j, slot in zip(moving_nodes.tolist(), live[moving_nodes].tolist()):
+                fills[slot](out=rows[j])
             return draws
         # Batched: seed-branched fills keyed by node-id *block*, so a
         # node's draws depend only on (seed, cycle, chunk, node id) —

@@ -30,46 +30,81 @@ receives a better remote optimum.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.functions.base import Function
-from repro.pso.state import SwarmState
+from repro.pso.state import SwarmState, SwarmStateSoA
 from repro.pso.velocity import resolve_vmax
 from repro.utils.config import PSOConfig
 
-__all__ = ["Swarm", "initial_swarm_state"]
+__all__ = ["Swarm", "initial_swarm_state", "initial_swarm_states"]
+
+
+def initial_swarm_states(
+    functions: Sequence[Function],
+    config: PSOConfig,
+    rngs: Sequence[np.random.Generator],
+    groups: np.ndarray | None = None,
+) -> SwarmStateSoA:
+    """Initial states of ``len(rngs)`` swarms, each from its own stream.
+
+    Swarm ``i`` draws from ``rngs[i]`` in the box of
+    ``functions[groups[i]]`` (``functions[0]`` when ``groups`` is
+    None): positions uniform in the domain, velocities uniform in
+    ``±vmax`` with ``vmax = (vmax_fraction or 1) × width``, pbests unset.
+
+    Initial particles are *not* evaluated here — evaluation costs
+    budget, so it happens on the first step.  ``pbest_values`` start at
+    +inf and each swarm optimum is +inf with a placeholder position;
+    both resolve on the first evaluations.
+
+    This is the **only** initializer: the reference :class:`Swarm`
+    (through :func:`initial_swarm_state`, the one-swarm case) and the
+    batched network engine (:mod:`repro.core.fastpath`) both build
+    node state here.  Each stream makes one ``random`` fill of its
+    swarm's ``(2, k, d)`` block — the same doubles, in the same order,
+    that ``Function.sample_uniform`` followed by ``Generator.uniform``
+    draw — and the scaling ``low + (high − low)·u`` is ``uniform``'s
+    own arithmetic, applied to the whole batch at once.  States and
+    post-init stream positions are therefore bit-identical to the
+    per-swarm draws, which is what makes the engines same-seed
+    comparable.
+    """
+    n, k = len(rngs), config.particles
+    d = functions[0].dimension
+    draws = np.empty((n, 2, k, d))
+    for rng, block in zip(rngs, draws):
+        rng.random(out=block)
+    lower = np.stack([f.lower for f in functions])
+    upper = np.stack([f.upper for f in functions])
+    vmax = (config.vmax_fraction or 1.0) * np.stack(
+        [f.domain_width for f in functions]
+    )
+    if groups is None:
+        lower, upper, vmax = lower[0], upper[0], vmax[0]
+    else:
+        lower, upper, vmax = (a[groups][:, None, :] for a in (lower, upper, vmax))
+    positions = lower + (upper - lower) * draws[:, 0]
+    velocities = -vmax + (vmax - (-vmax)) * draws[:, 1]
+    return SwarmStateSoA(
+        positions=positions,
+        velocities=velocities,
+        pbest_positions=positions.copy(),
+        pbest_values=np.full((n, k), np.inf),
+        best_positions=positions[:, 0].copy(),
+        best_values=np.full(n, np.inf),
+        evaluations=np.zeros(n, dtype=np.int64),
+        cursors=np.zeros(n, dtype=np.int64),
+    )
 
 
 def initial_swarm_state(
     function: Function, config: PSOConfig, rng: np.random.Generator
 ) -> SwarmState:
-    """Random positions in the domain; velocities in ±vmax; pbest unset.
-
-    Initial particles are *not* evaluated here — evaluation costs
-    budget, so it happens on the first step.  ``pbest_values`` start at
-    +inf and the swarm optimum is +inf with a placeholder position;
-    both resolve on the first evaluations.
-
-    This is the **only** initializer: both the reference
-    :class:`Swarm` and the batched network engine
-    (:mod:`repro.core.fastpath`) build node state through it, consuming
-    the node's private stream in exactly the same order — which is what
-    makes the two engines same-seed comparable.
-    """
-    k, d = config.particles, function.dimension
-    positions = function.sample_uniform(rng, k)
-    width = function.domain_width
-    vmax = (config.vmax_fraction or 1.0) * width
-    velocities = rng.uniform(-vmax, vmax, size=(k, d))
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        pbest_positions=positions.copy(),
-        pbest_values=np.full(k, np.inf),
-        best_position=positions[0].copy(),
-        best_value=np.inf,
-        evaluations=0,
-    )
+    """One swarm's initial state: :func:`initial_swarm_states` with n = 1."""
+    return initial_swarm_states([function], config, [rng]).node_state(0)
 
 
 class Swarm:

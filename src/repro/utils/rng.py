@@ -29,20 +29,41 @@ NumPy's :class:`numpy.random.SeedSequence` already implements robust
 entropy splitting (``spawn_key``); we layer a stable string/int → key
 mapping on top so paths are self-describing.  Hash truncation uses
 BLAKE2b which is deterministic across platforms and Python versions
-(unlike built-in ``hash``).
+(unlike built-in ``hash``).  :meth:`SeedSequenceTree.rngs` derives many
+sibling streams at once with numpy's SeedSequence arithmetic run
+column-wise; it is pinned bit-identical to :meth:`SeedSequenceTree.rng`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from operator import index
 from typing import Iterable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["SeedSequenceTree", "derive_rng", "spawn_rngs"]
 
 #: Number of 32-bit words taken from the path digest when deriving keys.
 _KEY_WORDS = 4
+
+
+def _encode_part(item: int | str) -> bytes:
+    """Canonical serialization of one path component."""
+    if isinstance(item, bool):  # bool is an int subclass; be explicit
+        return b"b:%d" % item
+    if isinstance(item, (int, np.integer)):
+        return b"i:%d" % int(item)
+    if isinstance(item, str):
+        return b"s:" + item.encode("utf-8")
+    raise TypeError(
+        f"RNG path components must be int or str, got {type(item).__name__}"
+    )
+
+
+def _encode_path(path: tuple) -> bytes:
+    return b"/".join(_encode_part(item) for item in path)
 
 
 def _path_to_key(path: tuple) -> tuple[int, ...]:
@@ -51,23 +72,104 @@ def _path_to_key(path: tuple) -> tuple[int, ...]:
     The mapping must be stable across processes and platforms, so we
     serialize the path canonically and digest it with BLAKE2b.
     """
-    parts = []
-    for item in path:
-        if isinstance(item, bool):  # bool is an int subclass; be explicit
-            parts.append(f"b:{int(item)}")
-        elif isinstance(item, (int, np.integer)):
-            parts.append(f"i:{int(item)}")
-        elif isinstance(item, str):
-            parts.append(f"s:{item}")
-        else:
-            raise TypeError(
-                f"RNG path components must be int or str, got {type(item).__name__}"
-            )
-    digest = hashlib.blake2b("/".join(parts).encode("utf-8"), digest_size=4 * _KEY_WORDS)
-    raw = digest.digest()
+    raw = hashlib.blake2b(_encode_path(path), digest_size=4 * _KEY_WORDS).digest()
     return tuple(
         int.from_bytes(raw[4 * i : 4 * (i + 1)], "little") for i in range(_KEY_WORDS)
     )
+
+
+# -- batched derivation --------------------------------------------------------------
+#
+# ``SeedSequence(entropy=master, spawn_key=key)`` followed by
+# ``PCG64(seed_seq)`` is, per numpy's documented algorithm: coerce the
+# entropy and spawn key to uint32 words (the run entropy zero-padded to
+# the pool size when a spawn key follows), hash-mix them into a 4-word
+# pool, then expand the pool into ``generate_state(4, uint64)`` words
+# that seed the PCG64.  Every step is uint32 arithmetic that wraps, so
+# the whole pipeline runs column-wise over many spawn keys at once.
+
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _int_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int (``[0]`` for 0)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+# The two mixing primitives take Python ints or uint32 arrays alike:
+# every product is reduced mod 2**32 before it meets an array.
+
+
+class _HashMix:
+    """numpy's ``hashmix`` with its running multiplier."""
+
+    def __init__(self, init: int, mult: int):
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = (value * self.const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)
+    result &= _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_seed_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, key).generate_state(4, uint64)`` per row.
+
+    ``keys`` is an ``(n, _KEY_WORDS)`` uint32 array of spawn keys; the
+    result is ``(n, 4)`` uint64.  The master seed's words are shared by
+    every row, so they are mixed once as Python ints; only the key
+    words are mixed as uint32 columns.
+    """
+    run = _int_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = run + list(keys.T)
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    expand = _HashMix(_INIT_B, _MULT_B)
+    state = np.stack([expand(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed ``generate_state(4, uint64)`` words of one stream.
+
+    Seeding a :class:`~numpy.random.PCG64` from these words gives the
+    bit generator the state the full :class:`~numpy.random.SeedSequence`
+    would; the words are all a PCG64 ever asks its seed sequence for.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("precomputed seed words only seed a PCG64")
+        return self.words
 
 
 class SeedSequenceTree:
@@ -113,6 +215,34 @@ class SeedSequenceTree:
         """
         return np.random.default_rng(self.seed_sequence(*path))
 
+    def rngs(
+        self, prefix: tuple, ids: Iterable[int], suffix: tuple = ()
+    ) -> list[np.random.Generator]:
+        """``[self.rng(*prefix, i, *suffix) for i in ids]`` in one call.
+
+        Bit-identical to the per-path loop (same ``bit_generator``
+        state, hence the same streams), at a fraction of its cost: the
+        path bytes around the id are encoded once, and numpy's
+        SeedSequence mixing runs vectorized over all ids.  The
+        generators' ``bit_generator.seed_seq`` is a holder of the
+        precomputed seed words, not a spawnable
+        :class:`~numpy.random.SeedSequence`.
+        """
+        head = _encode_path(tuple(prefix))
+        head = head + b"/i:" if head else b"i:"
+        tail = _encode_path(tuple(suffix))
+        tail = b"/" + tail if tail else b""
+        blake2b = hashlib.blake2b
+        size = 4 * _KEY_WORDS
+        raw = b"".join(
+            blake2b(b"%s%d%s" % (head, index(i), tail), digest_size=size).digest()
+            for i in ids
+        )
+        keys = np.frombuffer(raw, dtype="<u4").reshape(-1, _KEY_WORDS)
+        words = _pcg64_seed_words(self._master_seed, keys)
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        return [generator(pcg64(_SeedWords(row))) for row in words]
+
     def subtree(self, *path: int | str) -> "SeedSequenceTree":
         """Return a tree rooted at ``path``.
 
@@ -153,12 +283,4 @@ def spawn_rngs(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    tree = SeedSequenceTree(master_seed)
-    return [tree.rng(*prefix, i) for i in range(count)]
-
-
-def rngs_from_tree(
-    tree: SeedSequenceTree, count: int, *prefix: int | str
-) -> list[np.random.Generator]:
-    """Like :func:`spawn_rngs` but reusing an existing tree."""
-    return [tree.rng(*prefix, i) for i in range(count)]
+    return SeedSequenceTree(master_seed).rngs(prefix, range(count))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.utils.rng import SeedSequenceTree, derive_rng, spawn_rngs
 
@@ -99,6 +99,12 @@ class TestHelpers:
             for j in range(i + 1, 4):
                 assert not np.array_equal(draws[i], draws[j])
 
+    def test_spawn_rngs_matches_tree(self):
+        rngs = spawn_rngs(5, 3, "nodes", 2)
+        tree = SeedSequenceTree(5)
+        for i, gen in enumerate(rngs):
+            assert gen.bit_generator.state == tree.rng("nodes", 2, i).bit_generator.state
+
     def test_spawn_rngs_zero(self):
         assert spawn_rngs(5, 0) == []
 
@@ -128,3 +134,34 @@ def test_property_sibling_streams_differ(seed):
     a = tree.rng("n", 0).integers(0, 2**31, size=8)
     b = tree.rng("n", 1).integers(0, 2**31, size=8)
     assert not np.array_equal(a, b)
+
+
+#: Master seeds at the word boundaries of numpy's entropy coercion; the
+#: last has five 32-bit words, more than the four-word pool.
+BOUNDARY_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 2**96 + 12345)
+
+_component = st.one_of(
+    st.integers(min_value=0, max_value=2**40), st.text(max_size=6)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from(BOUNDARY_SEEDS),
+    extra_ids=st.lists(st.integers(min_value=0, max_value=2**40), max_size=5),
+    prefix=st.lists(_component, max_size=2),
+    suffix=st.lists(_component, max_size=2),
+)
+def test_property_batched_derivation_matches_rng(seed, extra_ids, prefix, suffix):
+    """``tree.rngs`` is ``[tree.rng(*prefix, i, *suffix) for i in ids]``."""
+    tree = SeedSequenceTree(seed)
+    ids = [0, 2**30, *extra_ids]
+    gens = tree.rngs(tuple(prefix), ids, tuple(suffix))
+    assert len(gens) == len(ids)
+    for gen, i in zip(gens, ids):
+        expected = tree.rng(*prefix, i, *suffix)
+        assert gen.bit_generator.state == expected.bit_generator.state
+
+
+def test_batched_derivation_of_no_ids():
+    assert SeedSequenceTree(3).rngs(("node",), [], ("pso",)) == []
