@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import tempfile
-import time
 from pathlib import Path
 
 from repro.core.kernels import resolve_backend_name
@@ -36,7 +34,11 @@ from repro.functions.base import get_function
 from repro.scenario.result import RunRecord
 from repro.scenario.spec import Scenario
 from repro.sharding.engine import ShardEngine, run_shard
-from repro.sharding.exchange import InProcessExchange, SpoolExchange
+from repro.sharding.exchange import (
+    InProcessExchange,
+    SpoolExchange,
+    _atomic_write,
+)
 from repro.sharding.plan import ShardPlan
 from repro.utils.exceptions import ConfigurationError
 
@@ -215,10 +217,7 @@ def _result_path(root: Path, shard: int) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    _atomic_write(path, "w", lambda fh: json.dump(payload, fh))
 
 
 def _fault_hook(root: Path, shard: int):
@@ -263,6 +262,7 @@ def _shard_worker(root_str: str, shard: int) -> None:
 def _run_spool(scenario: Scenario, repetition: int, plan: ShardPlan,
                spool: str | Path) -> list[dict]:
     import multiprocessing
+    from multiprocessing.connection import wait
 
     root = Path(spool)
     root.mkdir(parents=True, exist_ok=True)
@@ -289,7 +289,8 @@ def _run_spool(scenario: Scenario, repetition: int, plan: ShardPlan,
     attempts = {s: 1 for s in range(plan.shards)}
     try:
         while procs:
-            time.sleep(0.05)
+            # Block until some worker exits: its sentinel becomes ready.
+            wait([proc.sentinel for proc in procs.values()])
             for s, proc in list(procs.items()):
                 if proc.exitcode is None:
                     continue

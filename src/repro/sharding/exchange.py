@@ -27,7 +27,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -54,9 +54,26 @@ class ShardExchangeTimeout(ShardExchangeError):
 
 Payload = Mapping[str, np.ndarray]
 
+# First re-check delay of a spool barrier that finds a payload missing.
+_FIRST_POLL = 1e-4
+
 
 def _freeze(payload: Payload) -> dict[str, np.ndarray]:
     return {key: np.asarray(value) for key, value in payload.items()}
+
+
+def _atomic_write(path: Path, mode: str, write: Callable[[IO], None]) -> None:
+    """Write ``path`` through a temp file beside it and ``os.replace``;
+    the temp file is removed if writing fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class InProcessExchange:
@@ -112,10 +129,18 @@ class SpoolExchange:
     0 → shard 1.  Posts are atomic (``os.replace``) and idempotent;
     collects poll for the peers' files.  Nothing is ever deleted: the
     directory is the run's replayable message log.
+
+    The files are the only signal, so the fabric works unchanged on a
+    shared filesystem.  A barrier that finds a payload missing
+    re-checks after 0.1 ms and doubles the sleep on every further miss,
+    up to ``poll`` (the longest sleep between checks, 2 ms by default):
+    a peer that posts moments later is seen within a fraction of a
+    millisecond, and a long wait costs one directory check per
+    ``poll``.
     """
 
     def __init__(self, root: str | Path, shards: int,
-                 poll: float = 0.02, timeout: float = 120.0):
+                 poll: float = 0.002, timeout: float = 120.0):
         self.root = Path(root)
         self.shards = shards
         self.poll = poll
@@ -133,24 +158,18 @@ class SpoolExchange:
             # the existing file is byte-equivalent — skipping the
             # write keeps posts race-free against a concurrent reader.
             return
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **_freeze(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, "wb",
+                      lambda fh: np.savez(fh, **_freeze(payload)))
 
     def collect(self, window: int, leg: int, dst: int,
                 srcs: Iterable[int]) -> dict[int, dict[str, np.ndarray]]:
         wanted = list(srcs)
         deadline = time.monotonic() + self.timeout
         paths = {src: self._path(window, leg, src, dst) for src in wanted}
+        missing = wanted
+        delay = _FIRST_POLL
         while True:
-            missing = [src for src, path in paths.items()
-                       if not path.exists()]
+            missing = [src for src in missing if not paths[src].exists()]
             if not missing:
                 break
             if time.monotonic() >= deadline:
@@ -158,7 +177,8 @@ class SpoolExchange:
                     f"shard {dst} window {window} leg {leg}: no payload "
                     f"from shards {missing} after {self.timeout:.0f}s"
                 )
-            time.sleep(self.poll)
+            time.sleep(delay)
+            delay = min(2 * delay, self.poll)
         out: dict[int, dict[str, np.ndarray]] = {}
         for src, path in paths.items():
             with np.load(path) as npz:

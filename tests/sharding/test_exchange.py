@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.sharding import exchange as exchange_module
 from repro.sharding.exchange import (
     InProcessExchange,
     ShardExchangeAborted,
@@ -99,3 +105,74 @@ def test_spool_collect_is_rereadable(tmp_path):
     first = fabric.collect(0, 1, dst=0, srcs=[1])
     second = fabric.collect(0, 1, dst=0, srcs=[1])
     np.testing.assert_array_equal(first[1]["data"], second[1]["data"])
+
+
+class _FakeClock:
+    """Stand-in for the exchange module's ``time``: sleeps advance a
+    virtual clock and are recorded instead of slept."""
+
+    def __init__(self, on_sleep=None):
+        self.now = 0.0
+        self.sleeps: list[float] = []
+        self.on_sleep = on_sleep
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+        if self.on_sleep is not None:
+            self.on_sleep(len(self.sleeps))
+
+
+def test_spool_barrier_backs_off_up_to_poll(tmp_path, monkeypatch):
+    clock = _FakeClock()
+    monkeypatch.setattr(exchange_module, "time", clock)
+    fabric = SpoolExchange(tmp_path / "spool", shards=3, timeout=0.5)
+    fabric.post(0, 1, src=1, dst=0, payload=_payload(1))
+    with pytest.raises(ShardExchangeTimeout, match=r"from shards \[2\]"):
+        fabric.collect(0, 1, dst=0, srcs=[1, 2])
+    sleeps = clock.sleeps
+    assert fabric.poll == 0.002
+    assert sleeps[0] <= 2e-4
+    assert all(a <= b for a, b in zip(sleeps, sleeps[1:]))
+    assert max(sleeps) == fabric.poll
+    # a long wait costs about one check per poll, not one per 0.1 ms
+    assert len(sleeps) < 0.5 / fabric.poll + 20
+
+
+def test_spool_barrier_wakes_soon_after_peer_posts(tmp_path, monkeypatch):
+    fabric = SpoolExchange(tmp_path / "spool", shards=2, timeout=5.0,
+                           poll=0.05)
+
+    def post_late(calls: int) -> None:
+        if calls == 3:
+            fabric.post(0, 1, src=1, dst=0, payload=_payload(4))
+
+    clock = _FakeClock(on_sleep=post_late)
+    monkeypatch.setattr(exchange_module, "time", clock)
+    got = fabric.collect(0, 1, dst=0, srcs=[1])
+    np.testing.assert_array_equal(got[1]["data"], [4, 5])
+    # the payload is seen on the re-check right after it lands
+    assert len(clock.sleeps) == 3
+    assert sum(clock.sleeps) < 1e-3
+
+
+def test_importing_the_runtime_does_not_load_networkx():
+    """Shard and sweep workers import :mod:`repro`; networkx loads
+    only for overlay analysis."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    code = (
+        "import sys, repro, repro.sharding.coordinator; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
